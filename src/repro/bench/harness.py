@@ -118,8 +118,8 @@ def run_benchmarks(names=None, seed=1, repeat=3, profile=False, progress=None, w
             "wall_s_all": [round(w, 4) for w in walls],
             "events_per_sec": round(run.events / best, 1),
             "packets_per_sec": round(run.packets / best, 1) if run.packets else 0.0,
-            # Machine-independent cost: callbacks actually dispatched per
-            # delivered packet (0.0 for packet-free scenarios).
+            # Machine-independent cost: engine callbacks per delivered
+            # packet (0.0 for packet-free scenarios).
             "events_per_packet": (
                 round(run.dispatches / run.packets, 4) if run.packets else 0.0
             ),
@@ -266,8 +266,9 @@ def compare_to_baseline(scenarios, baseline):
         base_epp = base.get("events_per_packet")
         if base_epp:
             row["baseline_events_per_packet"] = base_epp
-            # < 1.0 means the engine now dispatches fewer callbacks per
-            # delivered packet than the baseline did (machine-independent).
+            # > 1.0 means the engine now dispatches more callbacks per
+            # delivered packet than the baseline did (machine-independent;
+            # CI's bench smoke job fails such a run).
             row["events_per_packet_ratio"] = round(
                 entry["events_per_packet"] / base_epp, 4
             )

@@ -11,11 +11,11 @@ up-down routing, and the same CRC five-tuple ECMP hash
 no devices are instantiated, so a 4096-host Clos costs a dict, not a
 packet simulator.
 
-ECMP seeds are pinned to ``crc32(switch_name)`` (the convention
-:mod:`repro.bench` uses to pin live fabrics for cross-process
-determinism), so path selection is a pure function of (topology shape,
-five-tuple) -- no live-fabric RNG draw order involved.  Paths therefore
-match a *seed-pinned* packet fabric, not an arbitrary one; the
+ECMP seeds are ``crc32(switch_name)`` (the :class:`~repro.switch.Switch`
+constructor's default, stable across processes), so path selection is a
+pure function of (topology shape, five-tuple) -- no live-fabric RNG draw
+order involved.  Paths therefore match a packet fabric built with default
+seeds, not an arbitrary one; the
 differential lane (:mod:`repro.validation.flowsim_lane`) sidesteps this
 entirely by feeding flowsim the paths traced from the live fabric.
 """

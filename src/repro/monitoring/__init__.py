@@ -26,7 +26,7 @@ E10) reproduce the paper's figures from these components.
 observability layer for the simulator itself (hot-path hooks, a metric
 catalog, online detectors, JSONL artifacts) that never injects traffic
 or perturbs a run.  The polling half of :mod:`~repro.monitoring.counters`
-has been absorbed into the telemetry session (same settle-then-sample
+has been absorbed into the telemetry session (same sampling
 semantics, a richer catalog); see that module's notes for migration
 pointers.
 """

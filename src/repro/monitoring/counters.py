@@ -9,8 +9,7 @@ further monitor the pause intervals at the server side").
 .. note:: absorbed by :mod:`repro.telemetry`
 
    The unified telemetry subsystem polls the same counters with the
-   same settle-then-sample discipline (``switch.settle_trains()`` before
-   reading per-port stats, ``port.paused_interval_ns()`` to book the
+   same sampling discipline (``port.paused_interval_ns()`` to book the
    open pause interval) but against a declared metric catalog, with ring
    series, online detectors and JSONL/CSV/Prometheus exporters on top.
    New code should prefer ``telemetry.arm()`` + ``Fabric.boot()`` (or
@@ -81,9 +80,6 @@ class CounterCollector:
 
     @staticmethod
     def _switch_values(switch):
-        # tx stats are settled lazily while a departure train is in
-        # flight; book them before sampling raw per-port counters.
-        switch.settle_trains()
         return {
             "pause_tx": sum(p.stats.pause_tx for p in switch.ports),
             "pause_rx": sum(p.stats.pause_rx for p in switch.ports),

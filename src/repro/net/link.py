@@ -46,7 +46,7 @@ class Link:
         self.sim = sim
         self.rate_bps = int(rate_bps)
         self.delay_ns = propagation_delay_ns(cable_meters) if delay_ns is None else int(delay_ns)
-        self._loss_rate = loss_rate
+        self.loss_rate = loss_rate
         self._loss_rng = loss_rng
         self.name = name or "%s<->%s" % (port_a.name, port_b.name)
         self.port_a = port_a
@@ -59,13 +59,6 @@ class Link:
         # call skips two attribute hops.
         port_a.peer_deliver = port_b.deliver
         port_b.peer_deliver = port_a.deliver
-        # Departure trains only toward devices whose arrivals cannot
-        # interleave with shared ingress state (see
-        # Device.coalesced_delivery_ok).
-        if not port_b.device.coalesced_delivery_ok:
-            port_a.coalesce_ok = False
-        if not port_a.device.coalesced_delivery_ok:
-            port_b.coalesce_ok = False
         self.up = True
         # wire_bytes -> serialization ns, shared per line rate.
         self._ser_ns = Link._SER_CACHES.setdefault(self.rate_bps, {})
@@ -79,10 +72,8 @@ class Link:
         # Optional fault-injection hook: ``fn(link, packet)`` returning
         # None (deliver normally), ``("drop", None)``, ``("corrupt", None)``
         # or ``("delay", extra_ns)``.  Installed by repro.faults; the link
-        # itself stays policy-free.  A property: committed departure
-        # trains assume a clean link, so installing a hook (like raising
-        # loss_rate or set_down) interrupts them.
-        self._fault_hook = None
+        # itself stays policy-free.
+        self.fault_hook = None
         # Counters.
         self.delivered = 0
         self.lost = 0
@@ -90,34 +81,6 @@ class Link:
         self.corrupted = 0
         self.reordered = 0
         self.flaps = 0
-
-    @property
-    def loss_rate(self):
-        return self._loss_rate
-
-    @loss_rate.setter
-    def loss_rate(self, value):
-        self._loss_rate = value
-        if value:
-            self._interrupt_trains()
-
-    @property
-    def fault_hook(self):
-        return self._fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, value):
-        self._fault_hook = value
-        if value is not None:
-            self._interrupt_trains()
-
-    def _interrupt_trains(self):
-        """Uncoalesce any committed departure train on either endpoint:
-        the train's precomputed deliveries assumed a clean, up link."""
-        for port in (self.port_a, self.port_b):
-            if port._train is not None:
-                port.device.settle_trains()
-                port._uncoalesce()
 
     def ser_ns(self, wire_bytes):
         """Serialization delay for ``wire_bytes`` at this line rate
@@ -155,15 +118,15 @@ class Link:
             self.lost += 1
             return serialization_ns
         if (
-            self._loss_rate
+            self.loss_rate
             and not packet.is_pause
-            and self._loss_rng.random() < self._loss_rate
+            and self._loss_rng.random() < self.loss_rate
         ):
             self.lost += 1
             return serialization_ns
         extra_delay_ns = 0
-        if self._fault_hook is not None:
-            verdict = self._fault_hook(self, packet)
+        if self.fault_hook is not None:
+            verdict = self.fault_hook(self, packet)
             if verdict is not None:
                 kind, arg = verdict
                 if kind == "drop":
@@ -211,7 +174,6 @@ class Link:
         if self.up:
             self.flaps += 1
         self.up = False
-        self._interrupt_trains()
 
     def set_up(self):
         self.up = True

@@ -22,13 +22,8 @@ import collections
 from repro.packets.pause import N_PRIORITIES, pause_quanta_to_ns
 from repro.sim.engine import _ATIME_SHIFT
 from repro.sim.timer import Timer
-from repro.sim.units import serialization_delay_ns
 from repro.telemetry.hooks import HUB as _TELEMETRY
 from repro.tracing.hooks import HUB as _TRACE
-
-#: Cap on how many frames one committed train may cover.  Bounds the
-#: worst-case cancellation work when a train is interrupted.
-_TRAIN_MAX = 64
 
 
 class PortStats:
@@ -166,58 +161,6 @@ class _QueueEntry:
         self.enqueued_ns = enqueued_ns
 
 
-class _Train:
-    """A committed burst of back-to-back departures from one queue.
-
-    When a port's egress queue is draining frames with no PFC/ECN/fault
-    state change possible before the next departure, the port schedules
-    the whole train's deliveries in one pass (plus a single completion
-    event) instead of one ``_tx_complete`` wake-up per frame.  The
-    per-frame bookkeeping -- dequeue, byte counters, tx stats, buffer
-    release -- is *settled lazily*: frame ``i`` is booked exactly as the
-    old per-frame code would have at its departure time ``departs[i]``,
-    the first time anything can observe the difference (an arrival at the
-    owning device, an introspection accessor, end of ``run()``).  The
-    skipped wake-ups are credited to ``sim._elided`` so the logical
-    ``events_fired`` count -- and with it every determinism fingerprint --
-    is byte-identical to per-frame scheduling.
-
-    Frames stay in the port's queue until settled, so queue state reads
-    (after settling) are exact.  ``settle_idx`` is the count of booked
-    frames; invariant: ``departs[i+1] == ends[i]`` (back-to-back), which
-    is also why settling frame ``i >= 1`` credits exactly frame ``i-1``'s
-    elided ``_tx_complete``.
-    """
-
-    __slots__ = (
-        "priority",
-        "entries",
-        "departs",
-        "ends",
-        "deliver_events",
-        "settle_idx",
-        "complete_event",
-        "commit_atime",
-        "pgs",
-    )
-
-    def __init__(self, priority, entries, departs, ends, deliver_events, commit_atime, pgs):
-        self.priority = priority
-        self.entries = entries
-        self.departs = departs
-        self.ends = ends
-        self.deliver_events = deliver_events
-        self.settle_idx = 0
-        self.complete_event = None
-        # Assignment instant of the dispatch that committed the train;
-        # frame 0's virtual events inherit it as their dispatcher instant.
-        self.commit_atime = commit_atime
-        # Lossless ingress PG states backing the train's frames; the
-        # owning switch re-checks these against the live shared-buffer
-        # threshold after every admission (see Switch._admit).
-        self.pgs = pgs
-
-
 class Port:
     """One device interface: egress queues + PFC transmit-side state.
 
@@ -251,9 +194,7 @@ class Port:
         "on_dequeue",
         "is_server_facing",
         "vlan_port_mode",
-        "coalesce_ok",
-        "_frozen",
-        "_train",
+        "frozen",
         "_queues",
         "_queue_bytes",
         "_control_queue",
@@ -281,12 +222,6 @@ class Port:
         # describe a plain (host-side) interface.
         self.is_server_facing = False
         self.vlan_port_mode = None
-        # Event coalescing opt-in: only devices whose dequeue callback is
-        # pure buffer accounting (switches) may turn this on.  A device
-        # that reacts to dequeues in time-sensitive ways (the NIC's tx
-        # pump) must leave it off.
-        self.coalesce_ok = False
-        self._train = None
 
         self._queues = [collections.deque() for _ in range(N_PRIORITIES)]
         self._queue_bytes = [0] * N_PRIORITIES
@@ -301,20 +236,7 @@ class Port:
         self._tx_complete_ref = self._tx_complete
         # When True, egress transmission is administratively frozen (used
         # to model a dead device still holding the link).
-        self._frozen = False
-
-    @property
-    def frozen(self):
-        return self._frozen
-
-    @frozen.setter
-    def frozen(self, value):
-        self._frozen = value
-        if value and self._train is not None:
-            # Freezing mid-train: book everything already departed, then
-            # fall back to per-frame mode (whose _try_send honours frozen).
-            self.device.settle_trains()
-            self._uncoalesce()
+        self.frozen = False
 
     # -- introspection -------------------------------------------------------
 
@@ -325,36 +247,30 @@ class Port:
     @property
     def queue_lengths(self):
         """Packets queued per priority."""
-        self.device.settle_trains()
         return [len(q) for q in self._queues]
 
     @property
     def queued_bytes(self):
         """Bytes queued per priority."""
-        self.device.settle_trains()
         return list(self._queue_bytes)
 
     @property
     def total_queued_bytes(self):
-        self.device.settle_trains()
         return self._total_bytes
 
     @property
     def total_queued_packets(self):
-        self.device.settle_trains()
         return self._total_packets
 
     def iter_entries(self):
         """Yield ``(priority, packet, meta, enqueued_ns)`` for every queued
         data frame.  Read-only view used by the invariant auditors."""
-        self.device.settle_trains()
         for priority, queue in enumerate(self._queues):
             for entry in queue:
                 yield priority, entry.packet, entry.meta, entry.enqueued_ns
 
     def head_packet_bytes(self, priority):
         """Wire size of the head packet of ``priority`` (0 when empty)."""
-        self.device.settle_trains()
         queue = self._queues[priority]
         if not queue:
             return 0
@@ -389,22 +305,11 @@ class Port:
         self._total_bytes += nbytes
         if _TRACE.enabled:
             _TRACE.session.on_port_enqueue(self, packet, priority)
-        train = self._train
-        if train is not None and priority > train.priority:
-            # Strict priority would preempt the train after the frame now
-            # on the wire; fall back to per-frame scheduling.
-            self.device.settle_trains()
-            self._uncoalesce()
         self._try_send()
 
     def enqueue_control(self, packet):
         """Queue a MAC control frame (pause); precedes all data, never
         itself paused by PFC."""
-        if self._train is not None:
-            # Control frames take absolute precedence at the next frame
-            # boundary -- exactly where the per-frame path re-arms.
-            self.device.settle_trains()
-            self._uncoalesce()
         self._control_queue.append(packet)
         self._try_send()
 
@@ -418,12 +323,6 @@ class Port:
         """
         if self.link is None:
             raise RuntimeError("pause received on disconnected port %s" % self.name)
-        train = self._train
-        if train is not None and frame.quanta[train.priority]:
-            # A real pause on the train's priority stops further
-            # departures; booked frames (and the one on the wire) stand.
-            self.device.settle_trains()
-            self._uncoalesce()
         now = self.sim.now
         self._sync_pause_accounting()
         got_pause = False
@@ -539,13 +438,6 @@ class Port:
                 self._arm_wake()
                 self._sync_pause_accounting()
                 return
-            if (
-                self.coalesce_ok
-                and self.sim.coalesce_enabled
-                and len(self._queues[priority]) > 1
-                and self._commit_train(priority)
-            ):
-                return
             entry = self._queues[priority].popleft()
             nbytes = entry.packet.size_bytes
             self._queue_bytes[priority] -= nbytes
@@ -588,195 +480,6 @@ class Port:
     def _tx_complete(self):
         self._busy = False
         self._try_send()
-
-    # -- event coalescing ----------------------------------------------------
-
-    def _commit_train(self, priority):
-        """Try to commit a back-to-back departure train at ``priority``.
-
-        Returns True (port busy, train committed) or False (caller falls
-        back to the per-frame path).  A train is only legal when nothing
-        can preempt or perturb the departure schedule before it finishes:
-
-        * strict-priority scheduler with every higher priority EMPTY (an
-          empty-but-paused higher queue could not preempt either, but an
-          enqueue to it would -- the enqueue hook uncoalesces, so only
-          emptiness at commit time matters);
-        * link up, no fault hook, no loss rate (their setters interrupt);
-        * no flood-drop candidates inside the train (head-drops re-enter
-          the scheduler per frame);
-        * the owning device's ``train_gate`` accepts (shared-buffer state
-          cannot force a pause emission mid-train -- see Switch).
-        """
-        if not self.device.train_precheck():
-            return False
-        queues = self._queues
-        for q in range(priority + 1, N_PRIORITIES):
-            if queues[q]:
-                return False
-        link = self.link
-        if not link.up or link._fault_hook is not None or link._loss_rate:
-            return False
-        if type(self.scheduler) is not StrictPriorityScheduler:
-            return False
-        queue = queues[priority]
-        entries = []
-        drop_flood = self.drop_flood_at_head
-        for entry in queue:
-            meta = entry.meta
-            if drop_flood and meta is not None and meta.flood_copy:
-                break
-            entries.append(entry)
-            if len(entries) == _TRAIN_MAX:
-                break
-        if len(entries) < 2:
-            return False
-        pgs = self.device.train_gate(self, priority, entries)
-        if pgs is None:
-            return False
-        sim = self.sim
-        now = sim.now
-        ser_cache = link._ser_ns
-        prop = link.delay_ns
-        schedule1v = sim.schedule1v
-        peer_deliver = self.peer_deliver
-        dispatch_atime = sim._dispatch_atime
-        commit_atime = (
-            dispatch_atime >> _ATIME_SHIFT if dispatch_atime is not None else 0
-        )
-        departs = []
-        ends = []
-        deliver_events = []
-        t = now
-        # Dispatcher instant for frame i's virtual events: frame i-1's
-        # departure (its elided _tx_complete); for frame 0, the dispatch
-        # that is committing the train right now.
-        disp = commit_atime
-        for entry in entries:
-            wire = entry.packet.wire_bytes
-            ser = ser_cache.get(wire)
-            if ser is None:
-                ser = link.ser_ns(wire)
-            # Virtual assignment key = (departure instant, dispatcher
-            # instant): exactly the key per-frame scheduling would have
-            # produced, so same-nanosecond dispatch order downstream is
-            # unchanged.
-            vkey = (t << _ATIME_SHIFT) | disp
-            disp = t
-            departs.append(t)
-            t += ser
-            ends.append(t)
-            deliver_events.append(
-                schedule1v(t - now + prop, peer_deliver, entry.packet, vkey)
-            )
-        train = _Train(
-            priority, entries, departs, ends, deliver_events, commit_atime, pgs
-        )
-        # One completion wake-up for the whole train, replacing the last
-        # frame's _tx_complete (same virtual key); the other K-1 wake-ups
-        # are elided and credited as each frame settles.
-        train.complete_event = sim.schedule0v(
-            t - now, self._train_complete, (departs[-1] << _ATIME_SHIFT) | departs[-2]
-        )
-        self._train = train
-        self._busy = True
-        self.device.register_train_port(self)
-        # Frame 0 departs right now: book it (and its buffer release)
-        # synchronously, exactly like the per-frame path would.
-        self._train_settle(now)
-        return True
-
-    def _train_settle(self, now):
-        """Book every train frame whose departure time has passed.
-
-        A frame departing exactly *now* is booked only if its per-frame
-        wake-up (the predecessor's elided ``_tx_complete``, assigned at
-        ``departs[idx-1]``) would have dispatched before the event
-        currently being dispatched -- otherwise it stays deferred so the
-        same-nanosecond interleaving of buffer releases against arrivals
-        matches the per-frame schedule exactly.
-
-        Re-reads ``settle_idx`` each iteration: the on_dequeue callback
-        (buffer release) can re-enter settling via device accessors.
-        """
-        train = self._train
-        if train is None:
-            return
-        departs = train.departs
-        n = len(departs)
-        priority = train.priority
-        queue = self._queues[priority]
-        queue_bytes = self._queue_bytes
-        stats = self.stats
-        sim = self.sim
-        dispatch_atime = sim._dispatch_atime
-        on_dequeue = self.on_dequeue
-        while True:
-            idx = train.settle_idx
-            if idx >= n or departs[idx] > now:
-                return
-            if idx and departs[idx] == now and dispatch_atime is not None:
-                disp = departs[idx - 2] if idx >= 2 else train.commit_atime
-                vkey = (departs[idx - 1] << _ATIME_SHIFT) | disp
-                if vkey >= dispatch_atime:
-                    return
-            entry = queue.popleft()
-            nbytes = entry.packet.size_bytes
-            queue_bytes[priority] -= nbytes
-            self._total_packets -= 1
-            self._total_bytes -= nbytes
-            stats.tx_packets[priority] += 1
-            stats.tx_bytes[priority] += nbytes
-            self.link.delivered += 1
-            train.settle_idx = idx + 1
-            if idx:
-                # Frame idx departing == frame idx-1's serialization done:
-                # that frame's _tx_complete wake-up was elided.
-                sim._elided += 1
-            if on_dequeue is not None:
-                on_dequeue(entry.packet, entry.meta, False)
-
-    def _train_complete(self):
-        """The single scheduled wake-up at the train's last frame end."""
-        self._train_settle(self.sim.now)
-        self._train = None
-        self.device.train_port_done(self)
-        self._busy = False
-        self._try_send()
-
-    def _uncoalesce(self):
-        """Abort the committed train, falling back to per-frame mode.
-
-        The caller must have settled already-departed frames (device-wide)
-        first.  Unsent deliveries are cancelled, and the frame currently
-        on the wire (settle_idx - 1; at least frame 0 settled at commit)
-        gets its ordinary ``_tx_complete`` back at its serialization end
-        ``ends[idx-1]``, which is never in the past (``departs[idx] >=
-        now`` -- equality only for a booking deferred by the
-        same-nanosecond rule in :meth:`_train_settle`).
-        """
-        train = self._train
-        if train is None:
-            return
-        self._train = None
-        self.device.train_port_done(self)
-        train.complete_event.cancel()
-        idx = train.settle_idx
-        for event in train.deliver_events[idx:]:
-            event.cancel()
-        del train.deliver_events[idx:]
-        # Re-arm with the per-frame virtual assignment key (the wire
-        # frame's departure, dispatched by its predecessor's completion)
-        # so the restored wake-up keeps the position its elided
-        # counterpart would have had.
-        departs = train.departs
-        disp = departs[idx - 2] if idx >= 2 else train.commit_atime
-        sim = self.sim
-        sim.schedule0v(
-            train.ends[idx - 1] - sim.now,
-            self._tx_complete_ref,
-            (departs[idx - 1] << _ATIME_SHIFT) | disp,
-        )
 
     def deliver(self, packet):
         """Called by the link when a frame arrives at this port; hands the

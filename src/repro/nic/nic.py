@@ -139,9 +139,7 @@ class Nic(Device):
         self._ip_id = 0
         self._tx_timer = Timer(sim, self._pump_tx, name="%s.tx" % name)
         self.port.on_dequeue = self._on_tx_dequeue
-        # NOTE: self.port.coalesce_ok stays False (the Port default): the
-        # NIC's tx pump reacts to every dequeue, so its egress must run
-        # per-frame.  Pre-bound rx completion for the pooled fast path.
+        # Pre-bound rx completion for the pooled fast path.
         self._rx_done_ref = self._rx_done
 
     # -- fault injection -------------------------------------------------------

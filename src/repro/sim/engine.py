@@ -12,57 +12,33 @@ schedule callbacks on a shared ``Simulator``.
 Performance notes (this is the hottest code in the repository -- every
 simulated packet costs several engine events):
 
-* The scheduler is a **hierarchical timing wheel**: near-future events
-  land in one of ``_WHEEL_SLOTS`` buckets of ``2**_WHEEL_BITS`` ns each
-  (an O(1) list append, no tuple allocation), far-future events (RTOs,
-  watchdog polls, pause refreshes) overflow into a conventional heap and
-  migrate into the wheel as the window advances.  Almost every event in
-  this simulator is a short fixed delay -- serialization, propagation,
-  pause expiry -- so the common case never touches the heap.
-* A bucket is sorted on ``(time, atime, seq)`` when its tick is reached.
-  For ordinarily scheduled events ``atime`` (the assignment instant) is
-  monotone in ``seq``, so this is exactly (time, FIFO-seq) order --
-  identical to the old ``heapq`` ordering, as the determinism
-  fingerprints in ``benchmarks/BASELINE.json`` and the Hypothesis
-  equivalence suite in ``tests/test_timing_wheel.py`` assert.  Train
-  coalescing schedules events early with *virtual* atimes so they keep
-  their per-frame position.  Events scheduled *into* the tick currently
-  being drained go to a small side heap that the dispatch loop merges by
-  (time, atime, seq).
+* The scheduler is one ``heapq`` of ``(time, atime, seq, event)``
+  entries.  ``atime`` is the packed assignment key (see
+  ``_ATIME_SHIFT``); for ordinarily scheduled events it is monotone in
+  ``seq``, so the heap order is exactly (time, FIFO-seq), as the
+  determinism fingerprints in ``benchmarks/BASELINE.json`` and the
+  Hypothesis equivalence suite in ``tests/test_sim_engine.py`` assert.
+  Only :meth:`Simulator.inject` (the sharded runner's entry point)
+  supplies an explicit key.
 * Hot internal callers use :meth:`schedule1` / :meth:`schedule0`, which
   skip the ``*args`` tuple and draw :class:`Event` objects from a
   **free-list**; such events are recycled after they fire (or after a
-  cancelled entry is popped), so steady-state dispatch allocates nothing.
-* The engine counts **dispatches** (callbacks actually invoked) and
-  **elided events** (wake-ups that train coalescing in
-  :mod:`repro.net.port` proved redundant and credited lazily) separately;
-  :attr:`events_fired` reports their sum so fingerprints are invariant
-  under coalescing, while :attr:`dispatches` feeds the machine-independent
-  events-per-packet benchmark metric.
+  cancelled entry is popped), so steady-state dispatch allocates only
+  the heap entry.
 """
 
-import heapq
-from operator import attrgetter
-
-#: Wheel geometry: 2**7 = 128 ns per bucket, 1024 buckets = a 131 us
-#: window.  Serialization+propagation delays (hundreds of ns) and pause
-#: expiries (tens of us) stay inside the wheel; millisecond timers
-#: (RTO, watchdog polls) take the overflow heap.
-_WHEEL_BITS = 7
-_WHEEL_SLOTS = 1024
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-
-_TIME_KEY = attrgetter("time")
-_SORT_KEY = attrgetter("time", "atime", "seq")
+from heapq import heapify, heappop, heappush
 
 #: ``Event.atime`` packs two instants into one int key:
 #: ``(assignment_instant << _ATIME_SHIFT) | dispatcher_assignment_instant``
 #: -- the simulated time the event was scheduled at, then the assignment
 #: instant of the callback that scheduled it.  Lexicographic comparison
 #: of the packed key resolves same-nanosecond dispatch exactly as the
-#: classic FIFO seq would, while letting train coalescing reconstruct
-#: both levels virtually.  48 bits bounds the low field: exact up to
-#: 2**48 ns (~78 hours) of simulated time, far past any scenario here.
+#: classic FIFO seq would, while letting a sharded run
+#: (:mod:`repro.sim.parallel`) ship the key with a frame and reproduce
+#: the serial order on the receiving shard.  48 bits bounds the low
+#: field: exact up to 2**48 ns (~78 hours) of simulated time, far past
+#: any scenario here.
 _ATIME_SHIFT = 48
 
 #: Free-list bound: enough to cover every in-flight pooled event of a
@@ -78,10 +54,10 @@ class Event:
     """A scheduled callback; returned by :meth:`Simulator.schedule`.
 
     Events may be cancelled before they fire.  Cancelled events stay in
-    the wheel/heap but are skipped when reached (lazy deletion), which is
-    O(1) per cancel instead of O(n); the simulator compacts its storage
-    once cancelled entries dominate, so timer-heavy runs do not retain
-    dead events.
+    the heap but are skipped when reached (lazy deletion), which is O(1)
+    per cancel instead of O(n); the simulator compacts its heap once
+    cancelled entries dominate, so timer-heavy runs do not retain dead
+    events.
 
     ``kind`` encodes the call convention: 0 -- ``args`` is a tuple
     (``fn(*args)``); 1 -- ``args`` is the single positional argument;
@@ -94,12 +70,7 @@ class Event:
     assignment instant of the dispatch that scheduled it.  Same-time
     events dispatch in ``(atime, seq)`` order.  For ordinarily scheduled
     events the key is monotone in real scheduling order, so this is
-    exactly the classic FIFO seq tie-break.  Train coalescing
-    (:mod:`repro.net.port`) schedules a whole departure train's events
-    early and stamps each with the *virtual* key per-frame scheduling
-    would have produced (the frame's departure instant, dispatched by
-    the previous frame's completion), so coalesced events interleave
-    with everything else precisely as the per-frame schedule would have.
+    exactly the classic FIFO seq tie-break.
     """
 
     __slots__ = ("time", "atime", "seq", "fn", "args", "kind", "cancelled", "sim")
@@ -130,9 +101,8 @@ class Event:
             self.sim = None
 
     def __lt__(self, other):
-        # Wheel buckets sort on an explicit key and heap entries carry a
-        # unique seq, so ordering never invokes this; kept for direct
-        # Event comparisons.
+        # Heap entries carry a unique seq, so ordering never invokes
+        # this; kept for direct Event comparisons.
         if self.time != other.time:
             return self.time < other.time
         if self.atime != other.atime:
@@ -154,11 +124,11 @@ class Simulator:
       a cancellable :class:`Event`;
     * :meth:`schedule1` / :meth:`schedule0` -- allocation-free variants
       for hot internal callers (single argument / no argument);
+    * :meth:`inject` -- schedule with an explicit assignment key (the
+      sharded runner's external-frame entry point);
     * :meth:`run` / :meth:`run_until_idle` / :meth:`step` -- dispatch;
     * :attr:`now`, :attr:`events_fired`, :attr:`dispatches`,
-      :attr:`pending` -- observability;
-    * :meth:`add_settle_hook` / :meth:`add_uncoalesce_hook` -- lazy-state
-      registries used by train coalescing (see :mod:`repro.net.port`).
+      :attr:`pending` -- observability.
     """
 
     __slots__ = (
@@ -166,65 +136,36 @@ class Simulator:
         "_seq",
         "_running",
         "_events_fired",
-        "_elided",
         "_cancelled",
         "_pending",
-        "_stored",
-        "_slots",
-        "_cur_tick",
-        "_wheel_count",
-        "_overflow",
-        "_cur_list",
-        "_cur_idx",
-        "_cur_heap",
+        "_queue",
         "_pool",
-        "_settle_hooks",
-        "_uncoalesce_hooks",
-        "_dispatch_atime",
         "_dispatch_coarse",
-        "_dirty_ticks",
-        "coalesce_enabled",
     )
 
     # Lazy deletion keeps cancels O(1), but a fault-heavy run that arms
     # and re-arms timers (pause refresh, RTO, watchdogs) can leave the
-    # scheduler mostly dead entries.  Once the dead outnumber the live
-    # (and there are enough to matter), rebuild the storage without them.
+    # heap mostly dead entries.  Once the dead outnumber the live (and
+    # there are enough to matter), rebuild the heap without them.
     _COMPACT_MIN_CANCELLED = 64
 
     def __init__(self):
         self._now = 0
         self._seq = 0
         self._running = False
-        self._events_fired = 0  # callbacks actually invoked (dispatches)
-        self._elided = 0  # coalesced wake-ups credited lazily
-        self._cancelled = 0  # cancelled events still stored
-        self._pending = 0  # live (non-cancelled) events stored
-        self._stored = 0  # all stored entries, cancelled included
-        self._slots = [[] for _ in range(_WHEEL_SLOTS)]
-        self._cur_tick = 0  # the tick _cur_list/_cur_heap drain
-        self._wheel_count = 0  # entries stored in _slots
-        self._overflow = []  # heap of (time, atime, seq, Event) beyond the window
-        self._cur_list = []  # current tick, sorted (time, atime, seq)
-        self._cur_idx = 0
-        self._cur_heap = []  # current-tick events scheduled mid-drain
+        self._events_fired = 0
+        self._cancelled = 0  # cancelled events still in the heap
+        self._pending = 0  # live (non-cancelled) events in the heap
+        self._queue = []  # heap of (time, atime, seq, Event)
         self._pool = []  # Event free-list (kind 1/2 only)
-        self._settle_hooks = []
-        self._uncoalesce_hooks = []
-        # Assignment key of the callback currently being dispatched (None
-        # outside dispatch).  Train settlement compares it against a
-        # deferred booking's virtual wake-up key to decide whether the
-        # per-frame schedule would have booked before or after the current
-        # event -- the same-nanosecond interleaving question.
-        self._dispatch_atime = None
-        # Its high field (assignment instant), pre-shifted once per
-        # dispatch so the per-schedule key composition is one shift+or.
+        # High field (assignment instant) of the key of the callback
+        # being dispatched -- or, between runs, of the last one
+        # dispatched.  Every schedule composes its own key as
+        # (now << _ATIME_SHIFT) | this.  Keeping the last value between
+        # runs keeps keys monotone in scheduling order, so a schedule
+        # made after run(until=...) stops sorts after everything the
+        # dispatches at that instant scheduled, exactly as FIFO would.
         self._dispatch_coarse = 0
-        # Wheel ticks that received an explicit virtual key and therefore
-        # need the full (time, atime, seq) sort at load; every other
-        # bucket keeps the cheap stable time-only sort.
-        self._dirty_ticks = set()
-        self.coalesce_enabled = True
 
     # -- observability -------------------------------------------------------
 
@@ -235,74 +176,21 @@ class Simulator:
 
     @property
     def events_fired(self):
-        """Total logical events so far: callbacks executed plus wake-ups
-        elided by train coalescing.  Invariant under coalescing, which is
-        what lets the determinism fingerprints stay byte-identical."""
-        for hook in self._settle_hooks:
-            hook()
-        return self._events_fired + self._elided
-
-    @property
-    def dispatches(self):
-        """Callbacks actually invoked -- the machine-independent cost
-        metric (events-per-packet) reported by ``repro.bench``."""
+        """Total callbacks executed so far."""
         return self._events_fired
 
     @property
-    def elided_events(self):
-        """Wake-ups proven redundant by coalescing and credited lazily."""
-        for hook in self._settle_hooks:
-            hook()
-        return self._elided
+    def dispatches(self):
+        """Callbacks actually invoked -- equal to :attr:`events_fired`;
+        the numerator of ``repro.bench``'s events-per-packet metric."""
+        return self._events_fired
 
     @property
     def pending(self):
         """Number of live (non-cancelled) events still queued."""
         return self._pending
 
-    # -- coalescing registries -----------------------------------------------
-
-    def add_settle_hook(self, hook):
-        """Register ``hook()`` to be called whenever lazily-deferred state
-        must be brought current (end of :meth:`run`, reads of
-        :attr:`events_fired`).  Hooks must not schedule new events."""
-        if hook not in self._settle_hooks:
-            self._settle_hooks.append(hook)
-
-    def add_uncoalesce_hook(self, hook):
-        """Register ``hook()`` to force any active event trains back to
-        per-event scheduling (used when exact ``max_events`` semantics are
-        required)."""
-        if hook not in self._uncoalesce_hooks:
-            self._uncoalesce_hooks.append(hook)
-
-    def _settle_all(self):
-        for hook in self._settle_hooks:
-            hook()
-
-    def _uncoalesce_all(self):
-        for hook in self._uncoalesce_hooks:
-            hook()
-
     # -- scheduling ----------------------------------------------------------
-
-    def _place(self, event):
-        """File ``event`` into the wheel / overflow / current-tick heap.
-        Counter maintenance is the caller's job (insertion vs migration)."""
-        delta = (event.time >> _WHEEL_BITS) - self._cur_tick
-        if delta <= 0:
-            # The current tick -- or an older one: the tick cursor can sit
-            # ahead of the clock when a drained tick held only cancelled
-            # events.  The dispatch loop merges this side heap by
-            # (time, atime, seq), so ordering is exact either way.
-            heapq.heappush(self._cur_heap, (event.time, event.atime, event.seq, event))
-        elif delta < _WHEEL_SLOTS:
-            self._slots[(event.time >> _WHEEL_BITS) & _WHEEL_MASK].append(event)
-            self._wheel_count += 1
-        else:
-            heapq.heappush(
-                self._overflow, (event.time, event.atime, event.seq, event)
-            )
 
     def at(self, time, fn, *args):
         """Schedule ``fn(*args)`` at absolute simulated ``time``.
@@ -316,17 +204,7 @@ class Simulator:
                 "cannot schedule event at t=%d; clock is already at t=%d"
                 % (time, self._now)
             )
-        cancelled = self._cancelled
-        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= self._stored:
-            self._compact()
-        seq = self._seq
-        self._seq = seq + 1
-        atime = (self._now << _ATIME_SHIFT) | self._dispatch_coarse
-        event = Event(time, seq, fn, args, self, atime=atime)
-        self._place(event)
-        self._pending += 1
-        self._stored += 1
-        return event
+        return self._schedule(time, fn, args, 0)
 
     def schedule(self, delay, fn, *args):
         """Schedule ``fn(*args)`` ``delay`` nanoseconds from now.
@@ -335,36 +213,31 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError("delay cannot be negative: %r" % (delay,))
-        # Inlined body of at(): a non-negative delay cannot produce a past
-        # timestamp, so the validation there is redundant.
-        time = self._now + int(delay)
-        cancelled = self._cancelled
-        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= self._stored:
-            self._compact()
-        seq = self._seq
-        self._seq = seq + 1
-        atime = (self._now << _ATIME_SHIFT) | self._dispatch_coarse
-        event = Event(time, seq, fn, args, self, atime=atime)
-        self._place(event)
-        self._pending += 1
-        self._stored += 1
-        return event
+        return self._schedule(self._now + int(delay), fn, args, 0)
 
-    def _sched_fast(self, delay, fn, arg, kind, atime=None):
-        """Shared body of schedule1/schedule0: pooled event, no tuple."""
-        now = self._now
-        time = now + delay
+    def schedule1(self, delay, fn, arg):
+        """Schedule ``fn(arg)`` ``delay`` ns from now, drawing the Event
+        from the free-list.  The returned handle may be cancelled, but
+        must not be retained (or cancelled) past the event's fire time:
+        the engine recycles the object.  Internal hot-path API."""
+        return self._schedule(self._now + int(delay), fn, arg, 1)
+
+    def schedule0(self, delay, fn):
+        """Pooled, argument-free variant of :meth:`schedule1`."""
+        return self._schedule(self._now + int(delay), fn, None, 2)
+
+    def _schedule(self, time, fn, args, kind, atime=None):
+        """Shared body of every scheduling call: stamp the seq and the
+        assignment key (composed here unless given), push."""
         if atime is None:
-            atime = (now << _ATIME_SHIFT) | self._dispatch_coarse
-        else:
-            # Explicit virtual key: the bucket it lands in needs the full
-            # (time, atime, seq) sort when its tick is loaded.
-            self._dirty_ticks.add(time >> _WHEEL_BITS)
+            atime = (self._now << _ATIME_SHIFT) | self._dispatch_coarse
         cancelled = self._cancelled
-        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= self._stored:
+        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= len(self._queue):
             self._compact()
         seq = self._seq
         self._seq = seq + 1
+        # Any kind may reuse a recycled Event; only kinds 1/2 go back to
+        # the free-list after firing (kind-0 handles may be retained).
         pool = self._pool
         if pool:
             event = pool.pop()
@@ -372,52 +245,15 @@ class Simulator:
             event.atime = atime
             event.seq = seq
             event.fn = fn
-            event.args = arg
+            event.args = args
             event.kind = kind
             event.cancelled = False
             event.sim = self
         else:
-            event = Event(time, seq, fn, arg, self, kind, atime=atime)
-        # Inlined _place() -- this is the hottest allocation site in the
-        # repository, so the common case (a near-future wheel append) pays
-        # no extra call.
-        tick = time >> _WHEEL_BITS
-        delta = tick - self._cur_tick
-        if 0 < delta < _WHEEL_SLOTS:
-            self._slots[tick & _WHEEL_MASK].append(event)
-            self._wheel_count += 1
-        elif delta <= 0:
-            heapq.heappush(self._cur_heap, (time, atime, seq, event))
-        else:
-            heapq.heappush(self._overflow, (time, atime, seq, event))
+            event = Event(time, seq, fn, args, self, kind, atime)
+        heappush(self._queue, (time, atime, seq, event))
         self._pending += 1
-        self._stored += 1
         return event
-
-    def schedule1(self, delay, fn, arg):
-        """Schedule ``fn(arg)`` ``delay`` ns from now, drawing the Event
-        from the free-list.  The returned handle may be cancelled, but
-        must not be retained (or cancelled) past the event's fire time:
-        the engine recycles the object.  Internal hot-path API."""
-        return self._sched_fast(int(delay), fn, arg, 1)
-
-    def schedule0(self, delay, fn):
-        """Pooled, argument-free variant of :meth:`schedule1`."""
-        return self._sched_fast(int(delay), fn, None, 2)
-
-    def schedule1v(self, delay, fn, arg, vkey):
-        """:meth:`schedule1` with an explicit virtual assignment key.
-
-        Train coalescing schedules a whole departure train's events at
-        commit time; ``vkey`` is the packed ``_ATIME_SHIFT`` key
-        per-frame scheduling would have produced (its instants may lie in
-        the past -- it is purely an ordering key for same-time
-        dispatch)."""
-        return self._sched_fast(int(delay), fn, arg, 1, vkey)
-
-    def schedule0v(self, delay, fn, vkey):
-        """Argument-free variant of :meth:`schedule1v`."""
-        return self._sched_fast(int(delay), fn, None, 2, vkey)
 
     def call_soon(self, fn, *args):
         """Schedule ``fn(*args)`` at the current instant (after pending
@@ -435,9 +271,10 @@ class Simulator:
         stamped (sender's instant, then the sender's dispatcher
         instant), shipped alongside the frame.  Injecting with that key
         makes the delivery sort against the receiving shard's same-time
-        events exactly as it would have in one global engine, and every
-        event the delivery callback schedules derives its own key from
-        ``vkey``'s high field -- so ordering agreement propagates.
+        events exactly as it would have in one global engine -- by
+        ``(time, key, seq)`` -- and every event the delivery callback
+        schedules derives its own key from ``vkey``'s high field -- so
+        ordering agreement propagates.
         """
         time = int(time)
         if time < self._now:
@@ -445,187 +282,29 @@ class Simulator:
                 "cannot inject event at t=%d; clock is already at t=%d"
                 % (time, self._now)
             )
-        return self._sched_fast(time - self._now, fn, arg, 1, vkey)
+        return self._schedule(time, fn, arg, 1, vkey)
 
     # -- storage maintenance -------------------------------------------------
 
     def _compact(self):
-        """Drop cancelled entries from the wheel and the overflow heap.
+        """Drop cancelled entries from the heap.
 
-        Filtering preserves the (time, seq) ordering of live entries, so
-        compaction cannot change firing order -- it is invisible to the
-        simulation.  List objects are mutated in place because an
-        in-progress :meth:`run` holds direct references to them.
-        Cancelled entries parked in the tick currently being drained are
-        left for the dispatch loop (it skips them in O(1) each).
+        Filtering preserves the (time, atime, seq) ordering of live
+        entries, so compaction cannot change firing order -- it is
+        invisible to the simulation.  The list object is mutated in
+        place because an in-progress :meth:`run` holds a direct reference
+        to it.
         """
-        removed = 0
-        wheel = 0
-        for slot in self._slots:
-            if slot:
-                kept = [event for event in slot if not event.cancelled]
-                removed += len(slot) - len(kept)
-                slot[:] = kept
-                wheel += len(kept)
-        self._wheel_count = wheel
-        overflow = self._overflow
-        if overflow:
-            kept = [entry for entry in overflow if not entry[3].cancelled]
-            removed += len(overflow) - len(kept)
-            heapq.heapify(kept)
-            overflow[:] = kept
-        cur_heap = self._cur_heap
-        if cur_heap:
-            kept = [entry for entry in cur_heap if not entry[3].cancelled]
-            removed += len(cur_heap) - len(kept)
-            heapq.heapify(kept)
-            cur_heap[:] = kept
-        self._stored -= removed
-        remaining = 0
-        cur_list = self._cur_list
-        for i in range(self._cur_idx, len(cur_list)):
-            if cur_list[i].cancelled:
-                remaining += 1
-        self._cancelled = remaining
-
-    def _load_tick(self, tick):
-        """Make ``tick`` the current tick: sort its bucket and migrate
-        overflow entries that now fall inside the wheel window."""
-        slots = self._slots
-        bucket = slots[tick & _WHEEL_MASK]
-        slots[tick & _WHEEL_MASK] = []
-        self._wheel_count -= len(bucket)
-        # Ordinary events are appended in (atime, seq) order, so a stable
-        # sort on time alone reproduces the classic (time, FIFO) order.
-        # Only ticks that received a virtual key from train coalescing
-        # (events scheduled early, out of append order) pay for the full
-        # (time, atime, seq) sort.
-        dirty = self._dirty_ticks
-        if dirty and tick in dirty:
-            dirty.discard(tick)
-            bucket.sort(key=_SORT_KEY)
-        else:
-            bucket.sort(key=_TIME_KEY)
-        self._cur_list = bucket
-        self._cur_idx = 0
-        self._cur_tick = tick
-        overflow = self._overflow
-        if overflow:
-            horizon = (tick + _WHEEL_SLOTS) << _WHEEL_BITS
-            heappop = heapq.heappop
-            while overflow and overflow[0][0] < horizon:
-                entry = heappop(overflow)
-                event = entry[3]
-                if event.cancelled:
-                    self._cancelled -= 1
-                    self._stored -= 1
-                    continue
-                etick = entry[0] >> _WHEEL_BITS
-                if etick == tick:
-                    heapq.heappush(self._cur_heap, entry)
-                else:
-                    slots[etick & _WHEEL_MASK].append(event)
-                    self._wheel_count += 1
-
-    def _advance(self, until):
-        """Advance to the next tick holding events.
-
-        Returns True when events were loaded, False when the scheduler is
-        idle or every remaining event lies beyond ``until`` (in which case
-        nothing is loaded, so later inserts cannot land behind the tick
-        cursor).
-        """
-        if self._wheel_count:
-            slots = self._slots
-            tick = self._cur_tick + 1
-            end = self._cur_tick + _WHEEL_SLOTS
-            while tick < end:
-                if slots[tick & _WHEEL_MASK]:
-                    if until is not None and (tick << _WHEEL_BITS) > until:
-                        return False
-                    self._load_tick(tick)
-                    return True
-                tick += 1
-            self._wheel_count = 0  # defensive: counters drifted
-        overflow = self._overflow
-        while overflow:
-            time = overflow[0][0]
-            event = overflow[0][3]
-            if event.cancelled:
-                heapq.heappop(overflow)
-                self._cancelled -= 1
-                self._stored -= 1
-                continue
-            if until is not None and time > until:
-                return False
-            self._load_tick(time >> _WHEEL_BITS)
-            return True
-        return False
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[3].cancelled]
+        heapify(queue)
+        self._cancelled = 0
 
     # -- dispatch ------------------------------------------------------------
 
     def step(self):
         """Fire the single next event.  Returns False if the queue is empty."""
-        while True:
-            cur_list = self._cur_list
-            idx = self._cur_idx
-            cur_heap = self._cur_heap
-            from_heap = False
-            if idx < len(cur_list):
-                event = cur_list[idx]
-                if cur_heap:
-                    htime, hatime, hseq, hevent = cur_heap[0]
-                    if htime < event.time or (
-                        htime == event.time
-                        and (
-                            hatime < event.atime
-                            or (hatime == event.atime and hseq < event.seq)
-                        )
-                    ):
-                        event = hevent
-                        from_heap = True
-            elif cur_heap:
-                event = cur_heap[0][3]
-                from_heap = True
-            else:
-                if not self._advance(None):
-                    return False
-                continue
-            if from_heap:
-                heapq.heappop(cur_heap)
-            else:
-                self._cur_idx = idx + 1
-            self._stored -= 1
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._pending -= 1
-            self._now = event.time
-            fn = event.fn
-            args = event.args
-            kind = event.kind
-            # Free references before the callback runs so callbacks that
-            # re-schedule themselves do not pin stale argument tuples.
-            event.fn = None
-            event.args = None
-            event.sim = None  # fired: a late cancel() must not miscount
-            self._events_fired += 1
-            atime = event.atime
-            self._dispatch_atime = atime
-            self._dispatch_coarse = atime >> _ATIME_SHIFT
-            try:
-                if kind == 0:
-                    fn(*args)
-                elif kind == 1:
-                    fn(args)
-                else:
-                    fn()
-            finally:
-                self._dispatch_atime = None
-                self._dispatch_coarse = 0
-            if kind and len(self._pool) < _POOL_MAX:
-                self._pool.append(event)
-            return True
+        return self.run(max_events=1) == 1
 
     def run(self, until=None, max_events=None):
         """Run events in order.
@@ -638,67 +317,29 @@ class Simulator:
         ``max_events``
             Safety valve for experiments that can livelock *by design*
             (the paper's go-back-0 experiment never terminates on its own).
-            Implies exact dispatch counting, so train coalescing is
-            disabled (and any active trains unwound) for the rest of the
-            simulation.
 
         Returns the number of events fired by this call.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if max_events is not None:
-            # Exact "fire N callbacks then stop" semantics are incompatible
-            # with elided wake-ups; fall back to per-event scheduling.
-            self.coalesce_enabled = False
-            self._uncoalesce_all()
         self._running = True
         fired = 0
-        heappop = heapq.heappop
-        heappush_pool = self._pool.append
+        queue = self._queue
+        pool = self._pool
         try:
-            while True:
+            while queue:
                 if max_events is not None and fired >= max_events:
                     break
-                cur_list = self._cur_list
-                idx = self._cur_idx
-                cur_heap = self._cur_heap
-                from_heap = False
-                if idx < len(cur_list):
-                    event = cur_list[idx]
-                    if cur_heap:
-                        htime, hatime, hseq, hevent = cur_heap[0]
-                        if htime < event.time or (
-                            htime == event.time
-                            and (
-                                hatime < event.atime
-                                or (hatime == event.atime and hseq < event.seq)
-                            )
-                        ):
-                            event = hevent
-                            from_heap = True
-                elif cur_heap:
-                    event = cur_heap[0][3]
-                    from_heap = True
-                else:
-                    if not self._advance(until):
-                        break
-                    continue
+                entry = heappop(queue)
+                time, atime, _seq, event = entry
                 if event.cancelled:
-                    if from_heap:
-                        heappop(cur_heap)
-                    else:
-                        self._cur_idx = idx + 1
-                    self._stored -= 1
                     self._cancelled -= 1
                     continue
-                time = event.time
                 if until is not None and time > until:
+                    # Past the horizon: put it back (same entry, same
+                    # position in the order) and stop.
+                    heappush(queue, entry)
                     break
-                if from_heap:
-                    heappop(cur_heap)
-                else:
-                    self._cur_idx = idx + 1
-                self._stored -= 1
                 self._pending -= 1
                 self._now = time
                 fn = event.fn
@@ -709,8 +350,6 @@ class Simulator:
                 event.sim = None
                 self._events_fired += 1
                 fired += 1
-                atime = event.atime
-                self._dispatch_atime = atime
                 self._dispatch_coarse = atime >> _ATIME_SHIFT
                 if kind == 0:
                     fn(*args)
@@ -718,18 +357,12 @@ class Simulator:
                     fn(args)
                 else:
                     fn()
-                if kind and len(self._pool) < _POOL_MAX:
-                    heappush_pool(event)
+                if kind and len(pool) < _POOL_MAX:
+                    pool.append(event)
         finally:
             self._running = False
-            self._dispatch_atime = None
-            self._dispatch_coarse = 0
         if until is not None and self._now < until:
             self._now = until
-        # Bring lazily-settled state (train bookkeeping, elided-event
-        # credits) current so every counter a caller can read after run()
-        # is exact.
-        self._settle_all()
         return fired
 
     def run_until_idle(self, max_events=None):

@@ -161,9 +161,8 @@ class SharedBuffer:
                 % (config.total_bytes, self.headroom_total)
             )
         self.shared_in_use = 0
-        # Aggregates consulted by the event-coalescing train gate: how
-        # many PGs currently assert pause, and total headroom bytes in
-        # use (either non-zero makes lazy settlement unsafe).
+        # Aggregates exported as telemetry gauges: how many PGs
+        # currently assert pause, and total headroom bytes in use.
         self.paused_pgs = 0
         self.headroom_in_use = 0
         # Counters.

@@ -5,8 +5,7 @@ the standard detector stack for the lifetime of a run:
 
 * a self-rearming :class:`~repro.sim.timer.Timer` polls every device's
   counters each ``interval_ns`` (absorbing the sampling semantics of the
-  old ``monitoring/counters.py`` collector, including the mandatory
-  ``settle_trains()`` before reading per-port stats);
+  old ``monitoring/counters.py`` collector);
 * hot-path hooks (see :mod:`repro.telemetry.hooks`) push the few signals
   polling cannot see -- pause-grant durations, ECN mark-time queue
   depths, headroom spills, CNP/NAK emission, DCQCN rate decreases,
@@ -172,10 +171,9 @@ class TelemetrySession:
 
     def _collect_values(self):
         """Cumulative counters + gauges per device, CounterCollector
-        style: trains are settled first so per-port stats are booked."""
+        style."""
         values = {}
         for switch in self.fabric.switches:
-            switch.settle_trains()
             ports = switch.ports
             buffer = switch.buffer
             values[switch.name] = {

@@ -9,8 +9,8 @@ lookahead window, so the cut choice directly bounds how often the
 workers must synchronize:
 
 * **hosts stay with their ToR** -- a host<->ToR link (2 m, 10 ns) is
-  never cut.  Everything chatty (NIC scheduling, PFC to the ToR, ARP,
-  departure trains) stays shard-local;
+  never cut.  Everything chatty (NIC scheduling, PFC to the ToR, ARP)
+  stays shard-local;
 * **cuts ride the slowest tier that still yields enough pieces** -- the
   partitioner tries latency thresholds from the longest switch<->switch
   cable downward and stops at the first tier whose removal disconnects

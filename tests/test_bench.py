@@ -16,8 +16,8 @@ The slowest scenarios (``clos_slice``, ``pause_storm``) are exercised by
 keep the tier-1 suite quick; their fingerprints are still pinned via the
 baseline comparison done by the CLI.  ``clos_pod`` (the fabric-scale
 check) *is* pinned here despite its cost: it is the only scenario that
-exercises cross-podset ECMP over the full three-tier wheel/coalescing
-path, so drift in it must fail tier-1, not just CI.
+exercises cross-podset ECMP over the full three-tier fabric, so drift
+in it must fail tier-1, not just CI.
 """
 
 import json
@@ -76,13 +76,13 @@ class TestFingerprintPinning:
         run = SCENARIOS["clos_pod"].run(seed=1)
         recorded = baseline["scenarios"]["clos_pod"]
         assert run.fingerprint == recorded["fingerprint"], (
-            "clos_pod drifted from the checked-in baseline -- timing-wheel "
-            "ordering or train coalescing changed simulation behavior"
+            "clos_pod drifted from the checked-in baseline -- event "
+            "ordering changed simulation behavior"
         )
         assert run.events == recorded["events"]
         assert run.packets == recorded["packets"]
-        # Coalescing may only elide dispatches, never add them.
-        assert run.dispatches <= run.events
+        # Every event is one dispatched callback.
+        assert run.dispatches == run.events
 
     def test_baseline_covers_every_scenario(self, baseline):
         assert set(baseline["scenarios"]) == set(SCENARIOS)

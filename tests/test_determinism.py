@@ -7,8 +7,14 @@ same experiment must produce *identical* statistics, not merely similar
 ones.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.faults import FaultPlan, install_default_auditors
 from repro.rdma import GoBackN, QpConfig, connect_qp_pair, post_send
 from repro.sim import SeededRng
@@ -150,3 +156,50 @@ class TestDeterminism:
         parent = SeededRng(5, "p")
         assert parent.child("x").randint(0, 10**9) == SeededRng(5, "p/x").randint(0, 10**9)
         assert parent.child("x").randint(0, 10**9) != parent.child("y").randint(0, 10**9)
+
+
+#: A 2x2x2 three-tier Clos under saturating cross-podset pairs, printing
+#: per-link delivered counts: which uplink each flow hashes onto depends
+#: on every switch's default ECMP seed.
+_UNPINNED_CLOS = """
+import json
+from repro.experiments.common import saturate_pairs
+from repro.sim import SeededRng
+from repro.sim.units import MB, US
+from repro.topo import three_tier_clos
+
+topo = three_tier_clos(
+    n_podsets=2, tors_per_podset=2, hosts_per_tor=2,
+    leaves_per_podset=2, n_spines=2, seed=1,
+).boot()
+hosts = topo.hosts
+half = len(hosts) // 2
+pairs = [(hosts[i], hosts[half + i]) for i in range(half)]
+pairs += [(hosts[half + i], hosts[i]) for i in range(half)]
+saturate_pairs(topo.sim, pairs, 1 * MB, SeededRng(1, "hashseed"))
+topo.sim.run(until=topo.sim.now + 200 * US)
+print(json.dumps([link.delivered for link in topo.fabric.links]))
+"""
+
+
+def _run_with_hash_seed(hash_seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", _UNPINNED_CLOS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_same_seed_same_ecmp_paths_under_any_hash_seed():
+    # Default switch seeds must not come from the per-process salted
+    # str hash: the same seed has to give the same run in any process.
+    first = _run_with_hash_seed(1)
+    assert sum(first) > 0
+    assert _run_with_hash_seed(2) == first

@@ -132,3 +132,57 @@ class TestPortTelemetry:
         assert port.queued_bytes[3] == 2 * packet(1000).size_bytes
         assert port.head_packet_bytes(3) == packet(1000).size_bytes
         assert port.head_packet_bytes(4) == 0
+
+
+class TestPerFrameEgress:
+    """Egress decisions happen at frame boundaries: the frame on the
+    wire always finishes, and the next pick sees the state as of its
+    completion."""
+
+    @staticmethod
+    def _ser(port, payload):
+        return port.link.ser_ns(packet(payload).wire_bytes)
+
+    def test_pause_stops_only_that_priority_at_the_frame_boundary(self):
+        sim = Simulator()
+        port, sink = wire(sim)
+        for _ in range(3):
+            port.enqueue(packet(1000, dscp=3), priority=3)
+            port.enqueue(packet(1000, dscp=0), priority=0)
+        ser = self._ser(port, 1000)
+        # Pause priority 3 half-way through its first frame.
+        sim.schedule(ser // 2, port.receive_pause, PfcPauseFrame.pause([3]))
+        sim.run(until=10 * ser)
+        assert [p.ip.dscp for _, p in sink.received] == [3, 0, 0, 0]
+        # The wire frame finished; priority 0 took the very next slot.
+        assert sink.received[1][0] == 2 * ser + 10
+        assert port.queue_lengths[3] == 2
+        port.receive_pause(PfcPauseFrame.resume([3]))
+        sim.run_until_idle()
+        assert [p.ip.dscp for _, p in sink.received[4:]] == [3, 3]
+
+    def test_higher_priority_enqueue_goes_next_after_the_wire_frame(self):
+        sim = Simulator()
+        port, sink = wire(sim)
+        for _ in range(3):
+            port.enqueue(packet(1000, dscp=0), priority=0)
+        ser = self._ser(port, 1000)
+        sim.schedule(ser // 2, port.enqueue, packet(200, dscp=5), 5)
+        sim.run_until_idle()
+        assert [p.ip.dscp for _, p in sink.received] == [0, 5, 0, 0]
+        assert sink.received[1][0] == ser + self._ser(port, 200) + 10
+
+    def test_frozen_port_finishes_the_wire_frame_then_halts(self):
+        sim = Simulator()
+        port, sink = wire(sim)
+        for _ in range(3):
+            port.enqueue(packet(1000), priority=0)
+
+        def freeze():
+            port.frozen = True
+
+        sim.schedule(self._ser(port, 1000) // 2, freeze)
+        sim.run(until=sim.now + 1 * MS)
+        assert len(sink.received) == 1
+        assert port.stats.total_tx_packets == 1
+        assert port.total_queued_packets == 2

@@ -3,6 +3,8 @@ backpressure, watchdog, ECMP spreading, TTL."""
 
 import pytest
 
+from repro.faults import install_default_auditors
+from repro.faults.invariants import CONSERVATION_INVARIANTS
 from repro.rdma import QpConfig, connect_qp_pair, post_send
 from repro.sim import SeededRng
 from repro.sim.units import KB, MB, MS, US
@@ -10,6 +12,7 @@ from repro.switch.buffer import BufferConfig
 from repro.switch.watchdog import SwitchWatchdogConfig
 from repro.topo import single_switch, two_tier
 from repro.workloads import ClosedLoopSender, RdmaChannel
+from tests.strategies import drive_incast
 
 
 def shallow_buffer():
@@ -114,6 +117,24 @@ class TestSwitchWatchdog:
         watchdog = topo.tor._watchdogs[victim.port.peer.index]
         assert watchdog.trips >= 1
         assert topo.tor.counters.drops["watchdog-lossless"] > 0
+
+    def test_trip_disables_lossless_mid_incast_and_conserves_buffer(self):
+        topo = single_switch(n_hosts=3, seed=3).boot()
+        drive_incast(topo, 2, SeededRng(3, "trip"), message_bytes=128 * KB)
+        registry = install_default_auditors(topo.fabric).start()
+        victim = topo.hosts[0]
+        port = victim.port.peer
+        topo.sim.run(until=topo.sim.now + 200 * US)
+        assert port.total_queued_packets > 0  # tripped with frames queued
+        topo.tor.on_watchdog_trip(port)
+        assert topo.tor.lossless_disabled(port)
+        assert not port.any_paused  # force_resume_all cleared pause state
+        topo.sim.run(until=topo.sim.now + 2 * MS)
+        # Lossless traffic to the quarantined NIC is discarded, counted,
+        # and buffer/byte conservation survives the trip.
+        assert topo.tor.counters.drops["watchdog-lossless"] > 0
+        registry.audit_now()
+        assert not registry.violations_in_class(CONSERVATION_INVARIANTS)
 
     def test_reenables_after_pauses_stop(self):
         # "Once the switch detects that the pause frames from the NIC

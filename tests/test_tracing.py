@@ -100,16 +100,6 @@ class TestDarkPath:
         assert HUB.armed is None
         assert tracing.drain() == []
 
-    def test_session_restores_coalescing(self):
-        from repro.topo import single_switch
-
-        tracing.arm(tracing.TraceConfig())
-        topo = single_switch(n_hosts=2).boot()
-        assert topo.sim.coalesce_enabled is False  # sessions need the wire hook
-        tracing.disarm()
-        assert topo.sim.coalesce_enabled is True
-        tracing.drain()
-
 
 # -- 2. exact-sum attribution ------------------------------------------------
 
