@@ -4,7 +4,13 @@ metric, control-queue precedence, port statistics."""
 import pytest
 
 from repro.net import Device, DwrrScheduler, Link
-from repro.packets import Ipv4Header, Packet, PfcPauseFrame, TcpHeader
+from repro.packets import (
+    Ipv4Header,
+    Packet,
+    PfcPauseFrame,
+    TcpHeader,
+    pause_quanta_to_ns,
+)
 from repro.sim import Simulator
 from repro.sim.units import KB, MS, US, gbps
 
@@ -160,6 +166,56 @@ class TestPerFrameEgress:
         port.receive_pause(PfcPauseFrame.resume([3]))
         sim.run_until_idle()
         assert [p.ip.dscp for _, p in sink.received[4:]] == [3, 3]
+
+    def test_pause_expiry_resumes_the_priority_without_a_fresh_kick(self):
+        sim = Simulator()
+        port, sink = wire(sim)
+        for _ in range(3):
+            port.enqueue(packet(1000, dscp=3), priority=3)
+        ser = self._ser(port, 1000)
+        pause_ns = pause_quanta_to_ns(100, port.link.rate_bps)
+        assert pause_ns > ser
+        sim.schedule(ser // 2, port.receive_pause, PfcPauseFrame.pause([3], quanta=100))
+        sim.run_until_idle()
+        # The wire frame finished; the rest waited out the quanta and
+        # left back to back the instant the pause expired.
+        expiry = ser // 2 + pause_ns
+        assert [t for t, _ in sink.received] == [
+            ser + 10,
+            expiry + ser + 10,
+            expiry + 2 * ser + 10,
+        ]
+        assert port.stats.pause_rx == 1
+        assert port.stats.tx_packets[3] == 3
+
+    def test_pause_on_another_priority_leaves_the_sending_priority_running(self):
+        sim = Simulator()
+        port, sink = wire(sim)
+        for _ in range(3):
+            port.enqueue(packet(1000, dscp=3), priority=3)
+        ser = self._ser(port, 1000)
+        sim.schedule(ser // 2, port.receive_pause, PfcPauseFrame.pause([4]))
+        sim.run(until=10 * ser)
+        assert port.is_paused(4)
+        assert not port.is_paused(3)
+        assert [t for t, _ in sink.received] == [k * ser + 10 for k in (1, 2, 3)]
+        assert port.total_queued_packets == 0
+
+    def test_control_frame_enqueued_mid_frame_goes_next(self):
+        sim = Simulator()
+        port, sink = wire(sim)
+        for _ in range(3):
+            port.enqueue(packet(1000), priority=0)
+        ser = self._ser(port, 1000)
+        resume = Packet.pfc_pause(
+            dst_mac=1, src_mac=2, pause=PfcPauseFrame.resume([3])
+        )
+        sim.schedule(ser // 2, port.enqueue_control, resume)
+        sim.run_until_idle()
+        assert [p.is_pause for _, p in sink.received] == [False, True, False, False]
+        assert sink.received[1][0] == ser + port.link.ser_ns(resume.wire_bytes) + 10
+        assert port.stats.resume_tx == 1
+        assert port.stats.total_tx_packets == 3
 
     def test_higher_priority_enqueue_goes_next_after_the_wire_frame(self):
         sim = Simulator()
