@@ -13,12 +13,13 @@ Two entry points:
   indexing state per call, scans every link per round.  Simple,
   auditable, O(links x rounds).
 * :class:`MaxMinSolver` -- the incremental engine behind
-  :mod:`repro.flowsim`: per-link membership indexes are maintained
+  :mod:`repro.flowsim`: per-link membership and load are maintained
   across :meth:`~MaxMinSolver.add_flow`/:meth:`~MaxMinSolver.remove_flow`
   calls (no per-solve rebuild), flows carry integer *weights* (k
-  same-path flows collapse into one entry), and the water-filling uses a
-  lazy share heap with early exit once every flow froze -- the solve
-  cost scales with the flows actually placed, not with fabric size.
+  same-path flows collapse into one entry), and a solve re-runs the
+  lazy-share-heap water-fill only on the components a mutation touched
+  -- the solve cost scales with the flows whose rates can have changed,
+  not with the flows placed or the fabric size.
 """
 
 import heapq
@@ -109,29 +110,48 @@ def max_min_allocation(link_capacities, flow_paths, weights=None):
 
 
 class MaxMinSolver:
-    """Incremental max-min state: add/remove flows without rebuilding.
+    """Incremental max-min state: mutate flows, re-solve only what moved.
 
-    The per-link membership index (which flows cross which link, and the
-    link's total unfrozen weight) is maintained across mutations, so a
-    churny caller -- the flow-level simulator recomputing rates at every
-    arrival/completion -- pays O(path length) per mutation instead of
-    O(total flows) per solve for indexing.
+    The per-link membership index (which flows cross which link) and
+    per-link *load* (the summed weight of those flows) are kept up to
+    date on every mutation, so a churny caller -- the flow-level
+    simulator recomputing rates at every arrival/completion -- pays
+    O(path length) per mutation instead of O(total flows) per solve for
+    indexing.  Weights are integers, so the maintained loads are exact.
 
-    :meth:`solve` runs progressive filling with a lazy min-share heap:
-    each active link is pushed with its current fair share; stale heap
-    entries (the link's membership changed since the push) are skipped
-    via a version counter; the fill stops as soon as every flow froze,
-    so links that are never anyone's bottleneck are never frozen.  The
-    result matches :func:`max_min_allocation` (same fixpoint; float
-    rounding may differ in the last bits because links freeze in heap
-    order rather than scan order).
+    Every mutation also records the links it touched.  :meth:`solve`
+    closes those *dirty* links over shared membership (a link pulls in
+    its flows, a flow pulls in its links): the closure is the union of
+    the connected components whose allocation can have changed.  Only
+    that closure is water-filled again; every other flow keeps the rate
+    cached by the previous solve.  The water-fill is progressive filling
+    with a lazy min-share heap: each link is pushed with its current
+    fair share; stale heap entries (the link's load changed since the
+    push) are skipped via a version counter; the fill stops as soon as
+    every flow in the closure froze, so links that are never anyone's
+    bottleneck are never frozen.
+
+    Re-solving a closure gives bit-for-bit the rates a fill over *all*
+    flows would: components share no link, so a fill only ever reads
+    and writes state of the component it is freezing, and heap entries
+    are distinct ``(share, version, link)`` tuples, so one component's
+    entries pop in the same relative order whatever else shares the
+    heap.  An untouched component's cached rates are therefore exactly
+    what a full re-solve would recompute.  The result matches
+    :func:`max_min_allocation` (same fixpoint; float rounding may differ
+    in the last bits because links freeze in heap order rather than
+    scan order).
     """
 
-    __slots__ = ("_capacity", "_members", "_weights", "_paths", "_next_id")
+    __slots__ = (
+        "_capacity", "_members", "_load", "_weights", "_paths", "_rates",
+        "_dirty", "_next_id",
+    )
 
     def __init__(self, link_capacities):
         self._capacity = {}
         self._members = {}
+        self._load = {}
         for link, capacity in link_capacities.items():
             if not capacity > 0:
                 raise ValueError(
@@ -139,8 +159,11 @@ class MaxMinSolver:
                 )
             self._capacity[link] = capacity
             self._members[link] = set()
+            self._load[link] = 0
         self._weights = {}
         self._paths = {}
+        self._rates = {}  # flow_id -> rate as of the last solve
+        self._dirty = set()  # links changed since the last solve
         self._next_id = 0
 
     # -- mutations --------------------------------------------------------------
@@ -149,8 +172,11 @@ class MaxMinSolver:
         """Add (or re-rate) one link; existing flows keep their paths."""
         if not capacity > 0:
             raise ValueError("link %r has non-positive capacity %r" % (link, capacity))
-        self._capacity[link] = capacity
+        if self._capacity.get(link) != capacity:
+            self._capacity[link] = capacity
+            self._dirty.add(link)
         self._members.setdefault(link, set())
+        self._load.setdefault(link, 0)
 
     def add_flow(self, path, weight=1):
         """Register one flow (or ``weight`` identical flows); returns its id."""
@@ -166,16 +192,23 @@ class MaxMinSolver:
         self._next_id += 1
         self._paths[flow_id] = path
         self._weights[flow_id] = weight
+        if not path:
+            self._rates[flow_id] = 0.0
         for link in path:
             self._members[link].add(flow_id)
+            self._load[link] += weight
+        self._dirty.update(path)
         return flow_id
 
     def remove_flow(self, flow_id):
         """Withdraw one flow; its links keep their other members."""
         path = self._paths.pop(flow_id)
-        self._weights.pop(flow_id)
+        weight = self._weights.pop(flow_id)
+        self._rates.pop(flow_id, None)
         for link in path:
             self._members[link].discard(flow_id)
+            self._load[link] -= weight
+        self._dirty.update(path)
 
     def set_weight(self, flow_id, weight):
         """Change a flow's weight in place (k arrivals on one path)."""
@@ -183,13 +216,24 @@ class MaxMinSolver:
             raise ValueError("non-positive weight %r" % (weight,))
         if flow_id not in self._paths:
             raise KeyError(flow_id)
+        delta = weight - self._weights[flow_id]
+        if not delta:
+            return
         self._weights[flow_id] = weight
+        path = self._paths[flow_id]
+        for link in path:
+            self._load[link] += delta
+        self._dirty.update(path)
 
     def weight(self, flow_id):
         return self._weights[flow_id]
 
     def path(self, flow_id):
         return self._paths[flow_id]
+
+    def link_load(self, link):
+        """Summed weight of the flows crossing ``link`` (0 if none)."""
+        return self._load.get(link, 0)
 
     def flow_ids(self):
         return list(self._paths)
@@ -202,39 +246,56 @@ class MaxMinSolver:
     def solve(self):
         """Per-unit max-min rates for every registered flow.
 
-        Returns ``{flow_id: rate}``.  Zero-length paths get rate 0.0.
+        Returns a fresh ``{flow_id: rate}`` (the caller may mutate it).
+        Zero-length paths get rate 0.0.
         """
+        if self._dirty:
+            self._fill(*self._closure())
+            self._dirty.clear()
+        return dict(self._rates)
+
+    def _closure(self):
+        """Links reachable from the dirty ones over shared membership,
+        and the number of flows on them."""
+        members = self._members
+        paths = self._paths
+        stack = [link for link in self._dirty if members[link]]
+        links = set(stack)
+        seen = set()
+        while stack:
+            for flow_id in members[stack.pop()]:
+                if flow_id in seen:
+                    continue
+                seen.add(flow_id)
+                for other in paths[flow_id]:
+                    if other not in links:
+                        links.add(other)
+                        stack.append(other)
+        return links, len(seen)
+
+    def _fill(self, links, unfrozen):
+        """Water-fill the ``unfrozen`` flows on ``links`` (a union of
+        whole components) into the rate cache."""
         weights = self._weights
         paths = self._paths
+        members = self._members
+        capacity = self._capacity
+        link_weight = {link: self._load[link] for link in links}
+        remaining = {link: capacity[link] for link in links}
         rates = {}
-        # Per-link unfrozen weight, only for links someone crosses.
-        link_weight = {}
-        remaining = {}
-        for flow_id, path in paths.items():
-            if not path:
-                rates[flow_id] = 0.0
-                continue
-            for link in path:
-                if link in link_weight:
-                    link_weight[link] += weights[flow_id]
-                else:
-                    link_weight[link] = weights[flow_id]
-                    remaining[link] = self._capacity[link]
-        unfrozen = len(paths) - len(rates)
-        if not unfrozen:
-            return rates
         # Lazy share heap: (share, version, link).  A popped entry is
         # live only if its version matches the link's current one.
-        version = {link: 0 for link in link_weight}
+        version = dict.fromkeys(links, 0)
         heap = [
             (remaining[link] / total, 0, link)
             for link, total in link_weight.items()
         ]
         heapq.heapify(heap)
-        members = self._members
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         frozen = set()
         while unfrozen and heap:
-            share, ver, link = heapq.heappop(heap)
+            share, ver, link = heappop(heap)
             if version[link] != ver or link_weight[link] <= 0:
                 continue
             # Freeze every still-unfrozen flow on this link at `share`.
@@ -254,7 +315,7 @@ class MaxMinSolver:
                     remaining[other] = left if left > 0 else 0.0
                     version[other] += 1
                     if link_weight[other] > 0:
-                        heapq.heappush(
+                        heappush(
                             heap,
                             (remaining[other] / link_weight[other],
                              version[other], other),
@@ -265,10 +326,11 @@ class MaxMinSolver:
         if unfrozen:
             # Defensive (mirrors the reference): flows whose every link
             # lost all competitors get their path's remaining minimum.
-            for flow_id, path in paths.items():
-                if flow_id not in rates:
-                    rates[flow_id] = min(remaining.get(link, 0.0) for link in path)
-        return rates
+            for link in links:
+                for flow_id in members[link]:
+                    if flow_id not in rates:
+                        rates[flow_id] = min(remaining[other] for other in paths[flow_id])
+        self._rates.update(rates)
 
 
 def link_utilization(link_capacities, flow_paths, rates):

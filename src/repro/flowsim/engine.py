@@ -18,6 +18,13 @@ seconds, not hours):
 * **Lazy predicted completions** -- a completion event carries the
   group's rate *version*; any rate change bumps the version and pushes a
   fresh prediction, so stale events are dropped in O(1) on pop.
+* **Dirty-component re-solve** -- the solver re-fills only the
+  components of the flow/link graph that changed since the last
+  recompute and serves the rest from cached rates (bit-identical to a
+  full re-solve); the recompute then walks only the live groups, in
+  group-index order, and advances, version-bumps and re-predicts each
+  one, so the completion-check stream does not depend on which rates
+  actually moved.
 * **Batched rate updates** -- with ``rate_update_interval_ns=0`` (exact
   mode) rates are recomputed after every batch of same-instant events
   and the simulator's steady-state rates are *exactly* the solver's
@@ -151,7 +158,7 @@ class FlowSim:
         self._seq = 0
         self._groups = {}  # (path, fixed_rate) -> _Group
         self._group_list = []
-        self._link_weight = {}  # link -> active responsive flow count
+        self._live = {}  # group index -> responsive group with a solver entry
         self._flows = {}  # flow_id -> (group, size_bytes, start_ns)
         self._next_flow_id = 0
         self._dirty = False
@@ -253,13 +260,12 @@ class FlowSim:
         fresh = group.members == 0
         group.members += 1
         if fixed_rate is None:
-            weights = self._link_weight
-            for link in path:
-                weights[link] = weights.get(link, 0) + 1
+            solver = self._solver
             if group.solver_id is None:
-                group.solver_id = self._solver.add_flow(path, weight=group.members)
+                group.solver_id = solver.add_flow(path, weight=group.members)
+                self._live[group.index] = group
             else:
-                self._solver.set_weight(group.solver_id, group.members)
+                solver.set_weight(group.solver_id, group.members)
             if fresh:
                 # Provisional until the next recompute: fair share of the
                 # most loaded link on the path (exact mode replaces it
@@ -267,7 +273,7 @@ class FlowSim:
                 group.advance(t_ns)
                 group.version += 1
                 group.rate = min(
-                    self._caps[link] / weights[link] for link in path
+                    self._caps[link] / solver.link_load(link) for link in path
                 )
         else:
             self._fixed_dirty = True
@@ -299,14 +305,12 @@ class FlowSim:
         self.completed.append((flow_id, start_ns, t_ns, size_bytes))
         group.members -= 1
         if group.fixed_rate is None:
-            weights = self._link_weight
-            for link in group.path:
-                weights[link] -= 1
             if group.members:
                 self._solver.set_weight(group.solver_id, group.members)
             else:
                 self._solver.remove_flow(group.solver_id)
                 group.solver_id = None
+                del self._live[group.index]
                 group.advance(t_ns)
                 group.rate = 0.0
                 group.version += 1
@@ -354,9 +358,12 @@ class FlowSim:
             self._refresh_fixed(t_ns)
             self._fixed_dirty = False
         rates = self._solver.solve()
-        for group in self._group_list:
-            if group.fixed_rate is not None or group.solver_id is None:
-                continue
+        # Every live group is advanced, version-bumped and re-predicted,
+        # rate changed or not, in group-index order: the completion-check
+        # stream (and with it n_events and sim_ns) depends on both.
+        live = self._live
+        for index in sorted(live):
+            group = live[index]
             group.advance(t_ns)
             group.rate = rates[group.solver_id]
             group.version += 1

@@ -11,19 +11,18 @@ up-down routing, and the same CRC five-tuple ECMP hash
 no devices are instantiated, so a 4096-host Clos costs a dict, not a
 packet simulator.
 
-ECMP seeds are ``crc32(switch_name)`` (the :class:`~repro.switch.Switch`
-constructor's default, stable across processes), so path selection is a
-pure function of (topology shape, five-tuple) -- no live-fabric RNG draw
-order involved.  Paths therefore match a packet fabric built with default
-seeds, not an arbitrary one; the
-differential lane (:mod:`repro.validation.flowsim_lane`) sidesteps this
-entirely by feeding flowsim the paths traced from the live fabric.
+ECMP seeds are :func:`~repro.switch.ecmp.default_ecmp_seed` of the
+switch name (the :class:`~repro.switch.Switch` constructor's default,
+stable across processes), so path selection is a pure function of
+(topology shape, five-tuple) -- no live-fabric RNG draw order involved.
+Paths therefore match a packet fabric built with default seeds, not an
+arbitrary one; the differential lane
+(:mod:`repro.validation.flowsim_lane`) sidesteps this entirely by
+feeding flowsim the paths traced from the live fabric.
 """
 
-import zlib
-
 from repro.sim.units import gbps
-from repro.switch.ecmp import ecmp_select
+from repro.switch.ecmp import default_ecmp_seed, ecmp_select
 from repro.topo.fabric import host_ip
 
 #: Goodput payload bytes per wire byte, identical to the differential
@@ -32,11 +31,6 @@ EFFICIENCY = 1024 / 1086.0
 
 UDP_PROTO = 17
 ROCEV2_PORT = 4791
-
-
-def _seed(name):
-    """Per-switch ECMP seed: stable across processes and runs."""
-    return zlib.crc32(name.encode("ascii"))
 
 
 def link_id(a, b):
@@ -135,7 +129,7 @@ def two_tier_flow(n_tors=2, hosts_per_tor=4, n_leaves=4, rate_bps=None):
         for leaf in leaves:
             links[link_id(tor, leaf)] = rate
             links[link_id(leaf, tor)] = rate
-    tor_seeds = [_seed(t) for t in tors]
+    tor_seeds = [default_ecmp_seed(t) for t in tors]
 
     def path_fn(src, dst, five_tuple):
         t_src, t_dst = host_tor[src], host_tor[dst]
@@ -197,11 +191,11 @@ def clos_flow(
                 links[link_id(leaf, spines[s])] = rate
                 links[link_id(spines[s], leaf)] = rate
     tor_seeds = {
-        (p, t): _seed(tor_name(p, t))
+        (p, t): default_ecmp_seed(tor_name(p, t))
         for p in range(n_podsets) for t in range(tors_per_podset)
     }
     leaf_seeds = {
-        (p, l): _seed(leaf_name(p, l))
+        (p, l): default_ecmp_seed(leaf_name(p, l))
         for p in range(n_podsets) for l in range(leaves_per_podset)
     }
 

@@ -15,6 +15,17 @@ import struct
 import zlib
 
 
+def default_ecmp_seed(name):
+    """A switch's default ECMP seed: ``crc32`` of its name.
+
+    Not ``hash(name)``: string hashes are salted per process, and the
+    same seed must give the same ECMP paths in every process.  The
+    flow-level topologies (:mod:`repro.flowsim.topo`) use the same
+    function, so their paths match a packet fabric built with defaults.
+    """
+    return zlib.crc32(name.encode())
+
+
 def ecmp_hash(five_tuple, seed=0):
     """A stable 32-bit hash of ``(src, dst, proto, sport, dport)``."""
     src, dst, proto, sport, dport = five_tuple

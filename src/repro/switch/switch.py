@@ -20,13 +20,11 @@ Dequeue (or head-drop) releases the buffer claim and may send XON.
 Crossing XOFF sends pause out of the *ingress* port toward the sender.
 """
 
-import zlib
-
 from repro.packets.ip import IPV4_HEADER_BYTES
 from repro.packets.packet import Packet, compile_priority_resolver
 from repro.net.device import Device
 from repro.switch.buffer import BufferConfig, SharedBuffer
-from repro.switch.ecmp import ecmp_select
+from repro.switch.ecmp import default_ecmp_seed, ecmp_select
 from repro.switch.ecn import EcnConfig
 from repro.switch.forwarding import ForwardingTables
 from repro.switch.pfc import PauseSignaler, PfcConfig
@@ -109,10 +107,8 @@ class Switch(Device):
         self.tables = ForwardingTables(
             sim, local_subnet=local_subnet, **(forwarding_kwargs or {})
         )
-        # Name-derived defaults use CRC32, not hash(): string hashes are
-        # salted per process, and the same seed must give the same run
-        # (same ECMP paths) in every process.
-        name_crc = zlib.crc32(name.encode())
+        # Name-derived defaults are stable across processes (not hash()).
+        name_crc = default_ecmp_seed(name)
         self.ecmp_seed = name_crc if ecmp_seed is None else ecmp_seed
         self._mark_rng = mark_rng
         self.base_mac = base_mac if base_mac is not None else (name_crc & 0xFFFF) << 16

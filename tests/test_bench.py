@@ -72,6 +72,21 @@ class TestFingerprintPinning:
         assert run.events == recorded["events"]
         assert run.packets == recorded["packets"]
 
+    @pytest.mark.parametrize(
+        "name,seed,fingerprint",
+        [
+            ("flowsim_churn", 2, "6e9a639281368534"),
+            ("flowsim_churn", 3, "be720b5cf750f358"),
+            ("flowsim_clos", 2, "2c45a2aa08fbbd72"),
+            ("flowsim_clos", 3, "408d852f6c6d8dfb"),
+        ],
+    )
+    def test_flowsim_pinned_at_more_seeds(self, name, seed, fingerprint):
+        # BASELINE.json records seed 1 only; these pins widen the
+        # flow-level tier's coverage to other arrival draws, so a solver
+        # change that happens to keep seed 1 cannot slip through.
+        assert SCENARIOS[name].run(seed=seed).fingerprint == fingerprint
+
     def test_clos_pod_matches_checked_in_baseline(self, baseline):
         run = SCENARIOS["clos_pod"].run(seed=1)
         recorded = baseline["scenarios"]["clos_pod"]

@@ -182,11 +182,42 @@ print(json.dumps([link.delivered for link in topo.fabric.links]))
 """
 
 
-def _run_with_hash_seed(hash_seed):
+#: An MTT-miss run (the section 4.4 slow-receiver NIC config) printing
+#: the receiver's MTT and stall counters.  The per-flow span is not a
+#: multiple of the page size, so which accesses straddle a page -- and
+#: with it the hit count and the pauses -- depends on each flow's base
+#: address, i.e. on the NIC's hash of the flow key.
+_MTT_MISSES = """
+import json
+from repro.experiments.common import saturate_pairs
+from repro.nic.mtt import MttConfig
+from repro.nic.nic import NicConfig
+from repro.sim import SeededRng
+from repro.sim.units import KB, MB, US
+from repro.topo import single_switch
+
+nic_config = NicConfig(
+    mtt_config=MttConfig(entries=2048, page_bytes=4 * KB, miss_penalty_ns=1500),
+    rx_xoff_bytes=64 * KB, rx_xon_bytes=48 * KB, rx_buffer_bytes=128 * KB,
+    rx_span_per_flow_bytes=16 * MB + 1000,
+)
+topo = single_switch(n_hosts=4, seed=1, nic_config=nic_config).boot()
+receiver = topo.hosts[0]
+pairs = [(host, receiver) for host in topo.hosts[1:]]
+saturate_pairs(topo.sim, pairs, 1 * MB, SeededRng(1, "mtt"))
+topo.sim.run(until=topo.sim.now + 300 * US)
+nic = receiver.nic
+print(json.dumps([
+    nic.mtt.hits, nic.mtt.misses, nic.stats.mtt_stall_ns, nic.stats.pause_generated,
+]))
+"""
+
+
+def _run_with_hash_seed(script, hash_seed):
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-c", _UNPINNED_CLOS],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
@@ -200,6 +231,14 @@ def _run_with_hash_seed(hash_seed):
 def test_same_seed_same_ecmp_paths_under_any_hash_seed():
     # Default switch seeds must not come from the per-process salted
     # str hash: the same seed has to give the same run in any process.
-    first = _run_with_hash_seed(1)
+    first = _run_with_hash_seed(_UNPINNED_CLOS, 1)
     assert sum(first) > 0
-    assert _run_with_hash_seed(2) == first
+    assert _run_with_hash_seed(_UNPINNED_CLOS, 2) == first
+
+
+def test_same_seed_same_mtt_placement_under_any_hash_seed():
+    # The NIC places each flow's receive span at hash(flow key); the key
+    # is an (ip, qpn) tuple of ints, which Python does not salt.
+    first = _run_with_hash_seed(_MTT_MISSES, 1)
+    assert first[1] > 0  # the run really misses the MTT
+    assert _run_with_hash_seed(_MTT_MISSES, 2) == first

@@ -7,7 +7,14 @@ Every solve must land on the same max-min fixpoint as
 `max_min_allocation`, the simple reference scan -- including after
 arbitrary churn and weight changes, which is exactly the life the
 flowsim engine subjects it to.
+
+A solve re-fills only the components its mutations touched and serves
+the rest from the previous solve; :func:`full_fill` (one heap water-fill
+over every flow) pins that this is *bit-identical* to re-solving
+everything, not merely close.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +26,64 @@ from tests.strategies import maxmin_problems
 #: The solver freezes links in heap order, the reference in scan order;
 #: only last-bit float rounding may differ between the two.
 REL_TOL = 1e-9
+
+
+def full_fill(solver):
+    """One lazy-heap water-fill over every flow in ``solver``'s state,
+    nothing cached: the exact-equality reference for :meth:`solve`."""
+    weights = solver._weights
+    paths = solver._paths
+    rates = {}
+    link_weight = {}
+    remaining = {}
+    for flow_id, path in paths.items():
+        if not path:
+            rates[flow_id] = 0.0
+            continue
+        for link in path:
+            if link in link_weight:
+                link_weight[link] += weights[flow_id]
+            else:
+                link_weight[link] = weights[flow_id]
+                remaining[link] = solver._capacity[link]
+    unfrozen = len(paths) - len(rates)
+    if not unfrozen:
+        return rates
+    version = {link: 0 for link in link_weight}
+    heap = [(remaining[link] / total, 0, link) for link, total in link_weight.items()]
+    heapq.heapify(heap)
+    members = solver._members
+    frozen = set()
+    while unfrozen and heap:
+        share, ver, link = heapq.heappop(heap)
+        if version[link] != ver or link_weight[link] <= 0:
+            continue
+        for flow_id in members[link]:
+            if flow_id in rates:
+                continue
+            rates[flow_id] = share
+            unfrozen -= 1
+            flow_weight = weights[flow_id]
+            for other in paths[flow_id]:
+                if other == link or other in frozen:
+                    continue
+                link_weight[other] -= flow_weight
+                left = remaining[other] - share * flow_weight
+                remaining[other] = left if left > 0 else 0.0
+                version[other] += 1
+                if link_weight[other] > 0:
+                    heapq.heappush(
+                        heap,
+                        (remaining[other] / link_weight[other], version[other], other),
+                    )
+        frozen.add(link)
+        link_weight[link] = 0
+        remaining[link] = 0.0
+    if unfrozen:
+        for flow_id, path in paths.items():
+            if flow_id not in rates:
+                rates[flow_id] = min(remaining.get(link, 0.0) for link in path)
+    return rates
 
 
 def assert_rates_match(solver_rates, reference_rates, flow_ids):
@@ -163,3 +228,87 @@ class TestAgainstReference:
         for path in paths:
             solver.add_flow(path)
         assert solver.solve() == solver.solve()
+
+
+#: One solver mutation: (op, a, b, c) with small integers the test maps
+#: onto live flow ids and link ids.
+_MUTATIONS = st.tuples(
+    st.sampled_from(("add", "remove", "weight", "link")),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(1, 5),
+)
+
+
+class TestIncrementalIsExact:
+    """Serving untouched components from the cache gives exactly the
+    rates a full water-fill over the same state does."""
+
+    @given(
+        problem=maxmin_problems(max_links=8, max_flows=12),
+        batches=st.lists(st.lists(_MUTATIONS, min_size=1, max_size=6), max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_churn_equals_full_fill_after_every_batch(self, problem, batches):
+        links, paths = problem
+        solver = MaxMinSolver(links)
+        for path in paths:
+            solver.add_flow(path)
+        assert solver.solve() == full_fill(solver)
+        link_ids = sorted(links)
+        for batch in batches:
+            for op, a, b, c in batch:
+                alive = sorted(solver.flow_ids())
+                if op == "add" or (not alive and op != "link"):
+                    # A path of up to c distinct links, picked by a and b.
+                    start = a % len(link_ids)
+                    step = 1 + b % len(link_ids)
+                    path = [link_ids[(start + i * step) % len(link_ids)] for i in range(c)]
+                    solver.add_flow(path, weight=1 + b % 3)
+                elif op == "remove":
+                    solver.remove_flow(alive[a % len(alive)])
+                elif op == "weight":
+                    solver.set_weight(alive[a % len(alive)], c)
+                elif b % 4 == 0:
+                    # A new, so far unused link.
+                    link_ids.append(len(link_ids) + 1000)
+                    solver.add_link(link_ids[-1], 10 * c)
+                else:
+                    solver.add_link(link_ids[a % len(link_ids)], 7 * c + b % 50)
+            assert solver.solve() == full_fill(solver)
+
+    def test_returned_dict_is_the_callers(self):
+        solver = MaxMinSolver({"a": 10.0, "b": 20.0})
+        fa = solver.add_flow(["a"])
+        fb = solver.add_flow(["b"])
+        rates = solver.solve()
+        rates[fa] = -1.0
+        del rates[fb]
+        rates["bogus"] = 3.0
+        assert solver.solve() == {fa: 10.0, fb: 20.0}
+
+    def test_rerating_an_untouched_component_resolves_it(self):
+        solver = MaxMinSolver({"a": 10.0, "b": 20.0})
+        fa = solver.add_flow(["a"])
+        fb1 = solver.add_flow(["b"])
+        fb2 = solver.add_flow(["b"])
+        assert solver.solve() == {fa: 10.0, fb1: 10.0, fb2: 10.0}
+        # Nothing on "b" changed since that solve; only its capacity does.
+        solver.add_link("b", 50.0)
+        assert solver.solve() == {fa: 10.0, fb1: 25.0, fb2: 25.0}
+        # Re-rating to the same capacity leaves the cache as it is.
+        solver.add_link("b", 50.0)
+        assert solver.solve() == full_fill(solver)
+
+    def test_link_load_tracks_every_mutation(self):
+        solver = MaxMinSolver({"a": 10.0, "b": 10.0})
+        f1 = solver.add_flow(["a", "b"], weight=2)
+        f2 = solver.add_flow(["b"])
+        assert (solver.link_load("a"), solver.link_load("b")) == (2, 3)
+        solver.set_weight(f1, 5)
+        assert (solver.link_load("a"), solver.link_load("b")) == (5, 6)
+        solver.remove_flow(f2)
+        assert (solver.link_load("a"), solver.link_load("b")) == (5, 5)
+        solver.remove_flow(f1)
+        assert (solver.link_load("a"), solver.link_load("b")) == (0, 0)
+        assert solver.link_load("unknown") == 0
